@@ -9,26 +9,19 @@ expressions in the symbols of the paper's cost analysis (party count
 ``R`` = ``gk_round_count(p, m)``), bound to a concrete protocol instance
 by :func:`evaluate`.
 
-The models are used two ways:
-
-* **verification** — claim family E21 asserts that
-  :func:`~repro.analysis.complexity.measure_cost` matches these
-  predictions *exactly* (equality, zero tolerance): the engine's honest
-  executions spend precisely the rounds and messages the paper's
-  protocol descriptions say they do, and
-
-* **scheduling** — the batch runtime's cost-aware chunk planner
-  (``--schedule cost``) uses :attr:`PredictedCost.weight` as a per-run
-  cost proxy, sizing chunks so predicted per-chunk cost is equalized
-  across heterogeneous sweeps and dispatching the most expensive chunks
-  first (LPT).
+Claim family E21 asserts that
+:func:`~repro.analysis.complexity.measure_cost` matches these
+predictions *exactly* (equality, zero tolerance): the engine's honest
+executions spend precisely the rounds and messages the paper's protocol
+descriptions say they do.  ``repro profile`` prints the same
+predicted-vs-measured table for one protocol.
 
 sympy is a guarded dependency, exactly like numpy for the vectorized
 backend: when it is installed the closed forms are genuine sympy
 expressions (inspectable, printable, substitutable); when it is absent
 the same formulas evaluate through plain integer arithmetic, so
-:func:`evaluate` — and therefore the E21 claims and the scheduler —
-work identically either way.  Each formula is written once, as a Python
+:func:`evaluate` — and therefore the E21 claims — work identically
+either way.  Each formula is written once, as a Python
 callable that accepts either ints or sympy symbols.
 
 Honest-execution counting semantics (``measure_cost``): a transcript
@@ -52,7 +45,7 @@ except ImportError:  # pragma: no cover
     sympy = None
     HAVE_SYMPY = False
 
-#: Symbol glossary (docs/architecture.md "Cost models and scheduling").
+#: Symbol glossary (docs/architecture.md "Cost models").
 SYMBOLS: Dict[str, str] = {
     "n": "number of parties",
     "B": "gradual-release bit length (RELEASE_BITS)",
@@ -89,14 +82,9 @@ class PredictedCost:
 
     @property
     def weight(self) -> float:
-        """Scalar per-run cost proxy for the cost-aware scheduler.
-
-        Rounds plus total transcript traffic: both engine-loop
-        iterations and per-message bookkeeping cost wall-clock, and the
-        sum tracks the measured per-run times across the protocol zoo
-        well enough to equalize chunk costs (the scheduler only needs
-        relative magnitudes, not milliseconds).
-        """
+        """Scalar per-run cost proxy: rounds plus total transcript
+        traffic (both engine-loop iterations and per-message bookkeeping
+        cost wall-clock; only relative magnitudes are meaningful)."""
         return float(self.rounds + self.total_messages)
 
 

@@ -49,14 +49,10 @@ hands eligible (protocol, strategy) chunks to the NumPy vectorized
 backend and falls back to the reference state machine per task,
 ``reference`` forces the state machine, ``vectorized`` asserts
 eligibility and fails loudly on any non-vectorizable task — all three
-produce bit-identical results.  ``--schedule`` (or ``REPRO_SCHEDULE``)
-selects the chunk planner: ``uniform`` (default) sizes every chunk
-identically, ``cost`` sizes chunks from the symbolic cost models
-(``analysis.symbolic_cost``) so predicted per-chunk cost is equalized
-across heterogeneous sweeps and dispatches the most expensive chunks
-first — same results, better slot utilization.  ``--chunk-size`` (or
-``REPRO_CHUNK_SIZE``) pins the uniform chunk size (the cost planner's
-reference size) instead of deriving it from ``--runs``.
+produce bit-identical results.  ``--chunk-size`` (or
+``REPRO_CHUNK_SIZE``) pins the chunk size instead of deriving it from
+``--runs``.  Every global flag is accepted before or after the
+subcommand (``repro --runs 20 profile x`` = ``repro profile x --runs 20``).
 """
 
 from __future__ import annotations
@@ -176,132 +172,140 @@ def _parse_gamma(text: str) -> PayoffVector:
     return vec
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Utility-based protocol fairness (PODC'15) measurements",
-    )
-    parser.add_argument("--runs", type=int, default=400, help="Monte-Carlo runs")
-    parser.add_argument("--seed", default="cli", help="random seed")
-    parser.add_argument(
+def _add_global_options(parser, suppress: bool = False) -> None:
+    """The flags every command shares (budget, venue, runtime knobs)."""
+
+    def d(value):
+        return argparse.SUPPRESS if suppress else value
+
+    add = parser.add_argument
+    add("--runs", type=int, default=d(400), help="Monte-Carlo runs")
+    add("--seed", default=d("cli"), help="random seed")
+    add(
         "--jobs",
         type=_parse_jobs,
-        default=None,
+        default=d(None),
         help="worker processes for Monte-Carlo batches "
         "(default: $REPRO_JOBS or 1; 0 = all CPUs)",
     )
-    parser.add_argument(
+    add(
         "--workers",
-        default=None,
+        default=d(None),
         metavar="HOST:PORT,…",
         help="distributed worker addresses (default: $REPRO_WORKERS or "
         "none); when set, chunks are shipped to 'repro worker' processes "
         "instead of a local pool — results stay bit-identical",
     )
-    parser.add_argument(
+    add(
         "--max-retries",
         type=int,
-        default=None,
+        default=d(None),
         help="in-pool retries per failed chunk before degrading to "
         "in-process replay (default: $REPRO_MAX_RETRIES or 2)",
     )
-    parser.add_argument(
+    add(
         "--chunk-timeout",
         type=float,
-        default=None,
+        default=d(None),
         help="per-chunk wall-clock deadline in seconds for pool backends "
         "(default: $REPRO_CHUNK_TIMEOUT or no deadline)",
     )
-    parser.add_argument(
+    add(
         "--cache",
-        default=None,
+        default=d(None),
         metavar="DIR",
         help="persistent chunk-result cache directory (default: "
         "$REPRO_CACHE_DIR or no cache); identical (protocol, strategy, "
         "seed, span, faults) chunks are replayed from disk",
     )
-    parser.add_argument(
+    add(
         "--journal",
-        default=None,
+        default=d(None),
         metavar="DIR",
         help="crash-safe run-ledger directory (default: $REPRO_JOURNAL_DIR "
         "or no journal); every completed chunk partial is durably "
         "appended so an interrupted run can be resumed",
     )
-    parser.add_argument(
+    add(
         "--resume",
         action="store_true",
+        default=d(False),
         help="replay journaled chunk partials from --journal instead of "
         "recomputing them (requires --journal or $REPRO_JOURNAL_DIR); "
         "the resumed result is byte-identical to an uninterrupted run",
     )
-    parser.add_argument(
+    add(
         "--backend",
         choices=("auto", "reference", "vectorized"),
-        default=None,
+        default=d(None),
         help="execution backend for Monte-Carlo chunks (default: "
         "$REPRO_BACKEND or auto); 'auto' uses the NumPy vectorized "
         "engine for eligible (protocol, strategy) combinations and "
         "falls back per task, 'vectorized' asserts eligibility, "
         "'reference' always steps the state machine",
     )
-    parser.add_argument(
-        "--schedule",
-        choices=("uniform", "cost"),
-        default=None,
-        help="chunk-planning mode (default: $REPRO_SCHEDULE or uniform); "
-        "'cost' sizes chunks from the symbolic cost models so predicted "
-        "per-chunk cost is equalized across tasks and dispatches "
-        "predicted-expensive chunks first — results are bit-identical "
-        "to 'uniform'",
-    )
-    parser.add_argument(
+    add(
         "--chunk-size",
         type=int,
-        default=None,
+        default=d(None),
         metavar="N",
         help="runs per chunk (default: $REPRO_CHUNK_SIZE or derived from "
-        "the run count); under --schedule cost this is the reference "
-        "size the cost planner scales per task",
+        "the run count)",
     )
-    parser.add_argument(
+    add(
         "--stats",
         action="store_true",
+        default=d(False),
         help="dump each batch's RunStats (throughput + retry/degradation "
         "counters) as JSON after the command output",
     )
-    parser.add_argument(
+    add(
         "--gamma",
         type=_parse_gamma,
-        default=PayoffVector(0.0, 0.0, 1.0, 0.5),
+        default=d(PayoffVector(0.0, 0.0, 1.0, 0.5)),
         help="payoff vector γ00,γ01,γ10,γ11 (default 0,0,1,0.5)",
     )
-    parser.add_argument(
-        "--parties", type=int, default=5, help="n for multi-party protocols"
+    add(
+        "--parties", type=int, default=d(5), help="n for multi-party protocols"
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Utility-based protocol fairness (PODC'15) measurements",
+    )
+    _add_global_options(parser)
+    # Every subcommand accepts the global flags too; SUPPRESS keeps a
+    # subparser from clobbering a value given before the subcommand.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("zoo", help="list protocols and strategies")
+    def command(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
 
-    compare = sub.add_parser("compare", help="order protocols by fairness")
+    command("zoo", help="list protocols and strategies")
+
+    compare = command("compare", help="order protocols by fairness")
     compare.add_argument("protocols", nargs="+", help="protocol names")
 
-    attack = sub.add_parser("attack", help="best attacker of one protocol")
+    attack = command("attack", help="best attacker of one protocol")
     attack.add_argument("protocol")
 
-    balance = sub.add_parser("balance", help="per-t profile + balance verdict")
+    balance = command("balance", help="per-t profile + balance verdict")
     balance.add_argument("protocol")
 
-    recon = sub.add_parser(
+    recon = command(
         "reconstruction", help="measure reconstruction rounds"
     )
     recon.add_argument("protocol")
 
-    curve = sub.add_parser("curve", help="per-t curves of two protocols")
+    curve = command("curve", help="per-t curves of two protocols")
     curve.add_argument("protocol_a")
     curve.add_argument("protocol_b")
 
-    faults = sub.add_parser(
+    faults = command(
         "fault-sensitivity",
         help="fairness erosion under unreliable channels / crash faults",
     )
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "included) as JSON",
     )
 
-    prof = sub.add_parser(
+    prof = command(
         "profile",
         help="cProfile a small serial batch and print the top hotspots",
     )
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of hotspot rows to print (default 12)",
     )
 
-    verify = sub.add_parser(
+    verify = command(
         "verify",
         help="evaluate the registered paper claims against their "
         "Monte-Carlo measurements",
@@ -374,50 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full verification artifact (verdicts, CIs, seeds, "
         "chunk spans) as JSON",
     )
-    # Accepted after the subcommand too (``repro verify --jobs 2``);
-    # SUPPRESS keeps the subparser from clobbering a pre-subcommand value.
-    verify.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--backend",
-        choices=("auto", "reference", "vectorized"),
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--workers",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--journal",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--resume",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--schedule",
-        choices=("uniform", "cost"),
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    verify.add_argument(
-        "--chunk-size",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
 
-    chaos = sub.add_parser(
+    chaos = command(
         "chaos",
         help="run a seeded chaos campaign: compose fault dimensions over "
         "execution venues, assert payload bit-identity, leak-freedom, "
@@ -480,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "observed counters) as JSON",
     )
 
-    worker = sub.add_parser(
+    worker = command(
         "worker",
         help="serve Monte-Carlo chunk executions to a distributed "
         "coordinator (see --workers)",
@@ -498,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after serving one coordinator session (test/CI mode)",
     )
 
-    serve_cmd = sub.add_parser(
+    serve_cmd = command(
         "serve",
         help="serve the whole experiment surface as a JSON-RPC job API "
         "(estimate_utility, sweep_strategies, fault_sensitivity, "
@@ -789,8 +751,7 @@ def _cost_model_table(protocol, seed) -> str:
     if model is None:
         return (
             f"cost model: none registered for {type(protocol).__name__} — "
-            "predicted-vs-measured table skipped (cost scheduling treats "
-            "this protocol as unmodelled and keeps uniform chunks)"
+            "predicted-vs-measured table skipped"
         )
     predicted = evaluate(protocol)
     measured = measure_cost(protocol, n_runs=8, seed=(seed, "cost-model"))
@@ -812,17 +773,8 @@ def _cost_model_table(protocol, seed) -> str:
         [quantity, pred, f"{meas:g}", f"{meas - pred:+g}"]
         for quantity, pred, meas in pairs
     ]
-    return "\n".join(
-        [
-            format_table(
-                ["honest cost", "predicted", "measured", "error"], rows
-            ),
-            (
-                f"scheduler weight: {predicted.weight:g} cost units/run "
-                f"(family {model.family}; 'cost' schedule sizes chunks "
-                f"by this)"
-            ),
-        ]
+    return format_table(
+        ["honest cost", "predicted", "measured", "error"], rows
     )
 
 
@@ -993,7 +945,6 @@ def _build_runner(args):
             backend=args.backend,
             workers=args.workers,
             journal=journal,
-            schedule=args.schedule,
         )
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}")

@@ -2,9 +2,9 @@
 
 The coordinator (:class:`DistributedRunner`) ships content-fingerprinted
 chunk descriptors to TCP workers (``repro worker --listen``) over a
-length-prefixed JSON wire protocol, folds the returned partials in
-ascending chunk order, and degrades through the familiar retry ladder on
-any failure — so serial, pool, and distributed batches stay
+length-prefixed JSON wire protocol; the shared batch loop folds the
+returned partials in ascending chunk order and walks the familiar retry
+ladder on any failure — so serial, pool, and distributed batches stay
 bit-identical.  See the submodule docstrings for the protocol
 (:mod:`.wire`), the task-spec codec (:mod:`.codec`), the worker server
 (:mod:`.worker`), and the scheduling/failure semantics

@@ -1,31 +1,41 @@
-"""Batch runners: serial and process-pool Monte-Carlo execution.
+"""Batch runners: one batch loop, three executors.
 
 The measurement layer hands a runner a list of tasks (see
-``runtime.tasks``); the runner splits each task's run range into chunks,
-executes the chunks, and folds the partials back in ascending chunk order.
-Two interchangeable backends:
+``runtime.tasks``).  :meth:`BatchRunner.run` is the only batch loop: it
+plans each task's chunks, fetches journaled spans, submits the rest to
+the venue's *executor*, consumes the results in plan order (folding
+them with ``merge_partials``), checks the early-stop rule, and records
+a :class:`~repro.runtime.stats.RunStats`.  The venues differ only in
+their executor:
 
-* :class:`SerialRunner` — the historical in-process loop; default, and
-  always used for tiny batches where worker startup would dominate.
-* :class:`ProcessPoolRunner` — fans all chunks of all tasks out over a
-  ``concurrent.futures`` process pool (``fork`` start method: workers
-  inherit the live task objects, so strategy factories built from closures
-  need no pickling; submitted work items are just ``(task, start, stop)``
-  index triples, and results come back as picklable partials).
+* :class:`SerialRunner` — :class:`SerialExecutor`, the in-process loop;
+  also the fallback of the other two venues.
+* :class:`ProcessPoolRunner` — :class:`PoolExecutor`, a forked
+  ``concurrent.futures`` process pool (workers inherit the live task
+  objects, so strategy factories built from closures need no pickling;
+  work items are ``(task, start, stop)`` index triples, and results
+  come back as picklable partials).  Tiny batches and platforms that
+  cannot fork run serially.
+* ``DistributedRunner`` (``runtime.distributed``) — TCP workers.
+
+An executor offers ``submit(ti, start, stop, attempt) -> handle`` (``None``
+when the venue can take no more work), ``result(handle) -> (partial,
+instrumentation delta, worker id)`` (or raises), ``cancel(handle)`` and
+``close()``.
 
 Determinism contract: per-run randomness depends only on ``(seed, k)``
 via ``Rng(seed).fork(f"run-{k}")`` inside the task, and partials are
-merged in ascending chunk order, so both backends produce bit-identical
+merged in ascending chunk order, so every venue produces bit-identical
 results for the same seed.
 
 Failure semantics (see ``runtime.retry`` and docs/architecture.md): a
 chunk attempt that raises, breaks its worker, or misses its deadline is
-retried — in-pool with bounded backoff first, then on the final rung of
-the degradation ladder via trusted in-process serial replay with fault
-injection disabled — so a worker crash can delay a batch but never bias
-or lose it.  Every chunk leaves a :class:`~repro.runtime.stats.ChunkStats`
-record, and the batch-wide :class:`~repro.runtime.stats.RunStats` is
-recorded in a ``finally`` so ``last_stats`` survives even a failing batch.
+retried on the venue with bounded backoff; the final rung of the ladder
+is trusted in-process replay with fault injection disabled and the
+cache bypassed — so a worker crash can delay a batch but never bias or
+lose it.  Every chunk leaves a :class:`~repro.runtime.stats.ChunkStats`
+record, and the batch-wide ``RunStats`` is recorded in a ``finally`` so
+``last_stats`` survives even a failing batch.
 
 Backend selection: an explicit ``runner=`` argument wins; otherwise
 ``jobs`` (CLI ``--jobs`` / keyword) is consulted, falling back to the
@@ -37,7 +47,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import CancelledError as FuturesCancelled
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -48,25 +57,14 @@ from .early_stop import EarlyStopRule
 from .journal import RunJournal
 from .retry import ChunkTimeout, FaultSpec, RetryPolicy, run_task_chunk
 from .stats import BatchLog, RunStats
-from .tasks import SCHEDULES, merge_partials, plan_chunks
+from .tasks import merge_partials, plan_chunks
 from .vectorized import BackendError, resolve_backend
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 REPRO_JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable consulted when no explicit ``schedule`` is given.
-ENV_SCHEDULE = "REPRO_SCHEDULE"
-
 #: Environment variable consulted when no explicit ``chunk_size`` is given.
 ENV_CHUNK_SIZE = "REPRO_CHUNK_SIZE"
-
-#: Measured vectorized-over-reference speedup (BENCH_vectorized.json).
-#: The cost planner divides a task's predicted weight by this when the
-#: task will execute on a NumPy kernel: a vectorized run costs ~1/35th
-#: of its reference-engine prediction, and chunk sizing should reflect
-#: the engine that will actually run.  Intentionally a fixed constant
-#: (not re-measured per host) so plans are machine-independent.
-VECTORIZED_DISCOUNT = 35.0
 
 #: Batches smaller than this run serially even when a pool was requested.
 SMALL_BATCH_THRESHOLD = 64
@@ -121,26 +119,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def resolve_schedule(schedule: Optional[str] = None) -> str:
-    """Effective chunk-planning mode: explicit arg > ``REPRO_SCHEDULE`` >
-    ``"uniform"``.  Validated against :data:`~repro.runtime.tasks.SCHEDULES`,
-    naming the environment variable when the bad value came from it."""
-    if schedule is not None:
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
-            )
-        return schedule
-    raw = os.environ.get(ENV_SCHEDULE, "").strip().lower()
-    if not raw:
-        return "uniform"
-    if raw not in SCHEDULES:
-        raise ValueError(
-            f"{ENV_SCHEDULE} must be one of {SCHEDULES}, got {raw!r}"
-        )
-    return raw
-
-
 def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
     """Effective chunk size: explicit arg > ``REPRO_CHUNK_SIZE`` > ``None``
     (meaning "derive from ``n_runs``" — see ``default_chunk_size``).
@@ -180,7 +158,6 @@ def resolve_runner(
     backend: Optional[str] = None,
     workers=None,
     journal: Optional[RunJournal] = None,
-    schedule: Optional[str] = None,
 ) -> "BatchRunner":
     """Build the runner implied by ``workers``/``jobs`` (serial if ≤ 1).
 
@@ -193,23 +170,17 @@ def resolve_runner(
     """
     from .distributed import DistributedRunner, parse_workers
 
+    common = dict(
+        chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
+        backend=backend, journal=journal,
+    )
     addrs = parse_workers(workers)
     if addrs:
-        return DistributedRunner(
-            addrs, chunk_size=chunk_size, retry=retry, fault=fault,
-            cache=cache, backend=backend, journal=journal,
-            schedule=schedule,
-        )
+        return DistributedRunner(addrs, **common)
     n = resolve_jobs(jobs)
     if n <= 1:
-        return SerialRunner(
-            chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-            backend=backend, journal=journal, schedule=schedule,
-        )
-    return ProcessPoolRunner(
-        n, chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-        backend=backend, journal=journal, schedule=schedule,
-    )
+        return SerialRunner(**common)
+    return ProcessPoolRunner(n, **common)
 
 
 def _fork_available() -> bool:
@@ -217,9 +188,10 @@ def _fork_available() -> bool:
 
 
 class BatchRunner:
-    """Common chunking/merging/retry/stats machinery for both backends."""
+    """The batch loop, the retry ladder and the stats, for every venue."""
 
     backend = "abstract"
+    jobs = 1
 
     def __init__(
         self,
@@ -229,14 +201,8 @@ class BatchRunner:
         cache: Optional[ChunkCache] = None,
         backend: Optional[str] = None,
         journal: Optional[RunJournal] = None,
-        schedule: Optional[str] = None,
     ):
         self.chunk_size = resolve_chunk_size(chunk_size)
-        #: Chunk-planning mode (``"uniform"``/``"cost"`` — explicit
-        #: argument > ``REPRO_SCHEDULE`` > uniform).  Cost mode sizes
-        #: chunks from the symbolic cost models and dispatches predicted-
-        #: expensive chunks first (LPT) in the parallel venues.
-        self.schedule = resolve_schedule(schedule)
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         fault = fault if fault is not None else FaultSpec.from_env()
         self.fault = fault if fault is not None and fault.active else None
@@ -272,71 +238,183 @@ class BatchRunner:
         attribute chunk spans to the claim that spawned them."""
         return self.stats_history[mark:]
 
-    def run(self, tasks: Sequence, early_stop: Optional[EarlyStopRule] = None) -> List:
-        """Run every task to completion; return one merged value per task.
-
-        Also records a batch-wide :class:`RunStats` in ``self.last_stats``
-        (even when the batch ultimately raises).
-        """
-        raise NotImplementedError
-
     def run_one(self, task, early_stop: Optional[EarlyStopRule] = None):
         """Convenience wrapper for single-task batches."""
         return self.run([task], early_stop=early_stop)[0]
 
-    def _task_weight(self, task) -> Optional[float]:
-        """Predicted per-run cost weight for one task, or ``None``.
+    def _executor(self, tasks: Sequence):
+        """The executor this batch runs on (venues override)."""
+        return SerialExecutor(self, tasks)
 
-        ``None`` means the task's protocol is outside the symbolic cost
-        models' coverage (or the task has no protocol at all) — such
-        tasks keep uniform chunk sizing even under ``schedule="cost"``.
-        The weight is discounted by :data:`VECTORIZED_DISCOUNT` when the
-        execution-backend policy will route the task to a NumPy kernel.
-        Imported lazily: ``analysis`` imports ``runtime`` at module
-        load, so the reverse edge must wait until call time.
+    def _plan(self, task, ex, early_stop) -> List[tuple]:
+        # The plan is a pure function of (task, chunk_size) so every venue
+        # checks a stop rule at identical run indices and journal
+        # fingerprints replay across venues.  The one exception: a serial
+        # batch with nothing to check between chunks runs each task as a
+        # single sweep (identical result, no merge overhead).  A cache or
+        # journal forces planned chunks so stored spans match the other
+        # venues'; an explicit chunk_size likewise, so every venue
+        # accounts interrupts over the same span set.
+        if (
+            ex.label == "serial"
+            and early_stop is None
+            and self.cache is None
+            and self.journal is None
+            and self.chunk_size is None
+        ):
+            return [(0, task.n_runs)]
+        return plan_chunks(task.n_runs, self.chunk_size)
+
+    def run(self, tasks: Sequence, early_stop: Optional[EarlyStopRule] = None) -> List:
+        """Run every task to completion; return one merged value per task.
+
+        Also records a batch-wide :class:`RunStats` in ``self.last_stats``
+        (even when the batch ultimately raises; an interrupt carries it
+        as ``run_stats``).
         """
-        from ..analysis.symbolic_cost import evaluate, model_for
+        tasks = list(tasks)
+        t0 = time.perf_counter()
+        requested = sum(t.n_runs for t in tasks)
+        log = BatchLog(observer=self.chunk_observer)
+        values: List = [None] * len(tasks)
+        plans: List[List[tuple]] = []
+        handles: dict = {}
+        handled: set = set()
+        stopped_any = False
+        interrupted: Optional[BaseException] = None
+        ex = self._executor(tasks)
+        try:
+            plans = [self._plan(task, ex, early_stop) for task in tasks]
+            # Journaled spans resolve here, before anything is submitted:
+            # a resumed span never occupies a venue slot.
+            journaled = self._journal_fetch(tasks, plans, log)
+            for ti, plan in enumerate(plans):
+                for start, stop in plan:
+                    if (ti, start, stop) not in journaled:
+                        handles[ti, start, stop] = ex.submit(ti, start, stop, 0)
+            # Consumption — and so merging, early stopping and every
+            # result — is in plan order, whatever order the venue
+            # finished the chunks in.
+            for ti, plan in enumerate(plans):
+                value = None
+                stopped = False
+                for start, stop in plan:
+                    span = (ti, start, stop)
+                    if stopped:
+                        handle = handles.pop(span, None)
+                        if handle is not None:
+                            ex.cancel(handle)
+                        log.chunk(ti, start, stop, 0, "cancelled", ex.label, 0.0)
+                        handled.add(span)
+                        continue
+                    if span in journaled:
+                        part = journaled.pop(span)
+                        log.chunk(ti, start, stop, 0, "journaled", ex.label, 0.0)
+                    else:
+                        part = self._resolve(
+                            ex, tasks[ti], span, handles.pop(span), log
+                        )
+                        if self.journal is not None and self.journal.record(
+                            tasks[ti], ti, start, stop, part
+                        ):
+                            log.journal_appends += 1
+                    handled.add(span)
+                    value = part if value is None else merge_partials(value, part)
+                    if early_stop is not None and early_stop.should_stop(value):
+                        stopped = stopped_any = True
+                values[ti] = value
+        except KeyboardInterrupt as exc:
+            interrupted = exc
+            raise
+        finally:
+            for handle in handles.values():
+                if handle is not None:
+                    ex.cancel(handle)
+            if interrupted is not None:
+                # Ctrl-C: account every planned-but-unconsumed span as
+                # cancelled, so partial stats never overstate coverage.
+                for ti, plan in enumerate(plans):
+                    for start, stop in plan:
+                        if (ti, start, stop) not in handled:
+                            log.chunk(
+                                ti, start, stop, 0, "cancelled", ex.label, 0.0
+                            )
+            ex.close()
+            log.worker_deaths = ex.worker_deaths
+            self._record(ex, len(tasks), requested, t0, stopped_any, log)
+            if interrupted is not None:
+                interrupted.run_stats = self.last_stats
+        return values
 
-        protocol = getattr(task, "protocol", None)
-        if protocol is None or model_for(protocol) is None:
-            return None
-        weight = evaluate(protocol).weight
-        if self.exec_backend != "reference":
-            from .vectorized import vectorizable
+    def _resolve(self, ex, task, span, handle, log: BatchLog):
+        """Resolve one span through the degradation ladder.
 
-            if vectorizable(task):
-                weight /= VECTORIZED_DISCOUNT
-        return weight
-
-    def _batch_weights(self, tasks: Sequence) -> dict:
-        """``{task_index: per-run weight}`` for every modelled task.
-
-        Computed under both schedule modes — it is pure observability
-        (``ChunkStats.predicted_cost``) until ``schedule="cost"`` also
-        feeds it to the planner and the LPT dispatch order.
+        Venue attempts ``0..max_retries`` with backoff; a venue that can
+        take no more work ends them at once.  The final rung is trusted
+        in-process replay, fault injection disabled and the cache
+        bypassed — sound because ``run_chunk(start, stop)`` is a pure
+        function of ``(task, seed, span)``.  A genuine task bug raises
+        there and propagates (the stats are still recorded by ``run``).
         """
-        weights = {}
-        for ti, task in enumerate(tasks):
-            weight = self._task_weight(task)
-            if weight is not None:
-                weights[ti] = weight
-        return weights
-
-    def _plan(self, task) -> List[tuple]:
-        # With no early stopping there is no reason to pay per-chunk
-        # overhead in the serial backend, but the plan must stay a pure
-        # function of (task, cost model, chunk_size/schedule knobs) so
-        # every backend checks a stop rule at identical run indices and
-        # journal fingerprints replay across venues.
-        weight = None
-        if self.schedule == "cost":
-            weight = self._task_weight(task)
-        return plan_chunks(
-            task.n_runs, self.chunk_size,
-            schedule=self.schedule, weight=weight,
+        ti, start, stop = span
+        policy = self.retry
+        t0 = time.perf_counter()
+        attempt = 0
+        while handle is not None:
+            try:
+                part, inst, worker = ex.result(handle)
+            except BackendError:
+                # A forced-``vectorized`` task with no kernel is a
+                # configuration error, not a transient failure: retrying
+                # (or degrading to the reference replay rung) would
+                # silently void the caller's backend assertion.
+                raise
+            except ChunkTimeout:
+                log.failed_attempts += 1
+                log.timeouts += 1
+            except Exception:
+                log.failed_attempts += 1
+            else:
+                log.chunk(
+                    ti, start, stop, attempt + 1,
+                    "ok" if attempt == 0 else "retried", ex.label,
+                    time.perf_counter() - t0, inst=inst, worker=worker,
+                )
+                return part
+            attempt += 1
+            if attempt > policy.max_retries or not ex.available:
+                break
+            log.retries += 1
+            time.sleep(policy.backoff_for(attempt))
+            handle = ex.submit(ti, start, stop, attempt)
+        before = instrumentation_snapshot()
+        part = task.run_chunk(start, stop)
+        log.chunk(
+            ti, start, stop, attempt + 1, "replayed", "serial",
+            time.perf_counter() - t0, inst=instrumentation_delta(before),
         )
+        return part
 
-    def _record(self, n_tasks, requested, t0, stopped, log: BatchLog) -> None:
+    def _journal_fetch(self, tasks, plans, log: BatchLog) -> dict:
+        """``{span: partial}`` for every planned span the run ledger can
+        replay; quarantine counts drain into the log.  Spans are logged
+        as ``"journaled"`` only when consumed, so spans dropped by early
+        stopping or an interrupt are accounted identically whether or
+        not a record existed for them."""
+        journaled: dict = {}
+        if self.journal is None:
+            return journaled
+        for ti, plan in enumerate(plans):
+            for start, stop in plan:
+                hit, part = self.journal.fetch(tasks[ti], ti, start, stop)
+                if hit:
+                    journaled[ti, start, stop] = part
+        drained = self.journal.drain_new_counts()
+        log.journal_corrupt += drained["corrupt"]
+        log.journal_stale += drained["stale"]
+        return journaled
+
+    def _record(self, ex, n_tasks, requested, t0, stopped, log: BatchLog) -> None:
         engines = {
             c.engine
             for c in log.chunks
@@ -349,8 +427,8 @@ class BatchRunner:
         else:
             execution_backend = "mixed"
         self.last_stats = RunStats(
-            backend=self.backend,
-            jobs=getattr(self, "jobs", 1),
+            backend=ex.venue,
+            jobs=ex.jobs,
             n_tasks=n_tasks,
             n_chunks=log.n_chunks,
             requested=requested,
@@ -379,159 +457,50 @@ class BatchRunner:
             cache_stores=log.cache_stores,
             execution_backend=execution_backend,
             vectorized_runs=log.vectorized_runs,
-            schedule=self.schedule,
             chunks=tuple(log.chunks),
         )
         self.stats_history.append(self.last_stats)
 
-    def _journal_fetch(self, task, ti, start, stop, log: BatchLog):
-        """Look one span up in the run ledger; drain quarantine counts.
 
-        Does *not* log a chunk record — the caller logs the span as
-        ``"journaled"`` only when it actually consumes the partial, so
-        spans dropped by early stopping or an interrupt are accounted
-        identically whether or not a journal record existed for them.
-        """
-        if self.journal is None:
-            return False, None
-        hit, part = self.journal.fetch(task, ti, start, stop)
-        drained = self.journal.drain_new_counts()
-        log.journal_corrupt += drained["corrupt"]
-        log.journal_stale += drained["stale"]
-        return hit, part
+class SerialExecutor:
+    """Runs a chunk in-process, when its result is asked for.
 
-    def _journal_record(self, task, ti, start, stop, part, log: BatchLog) -> None:
-        """Durably append one computed span to the run ledger."""
-        if self.journal is None:
-            return
-        if self.journal.record(task, ti, start, stop, part):
-            log.journal_appends += 1
+    Lazy on purpose: spans cancelled by early stopping never run.
+    """
 
-    def _serial_chunk(self, task, ti, start, stop, log: BatchLog):
-        """In-process chunk execution with the full retry ladder.
+    venue = label = "serial"
+    jobs = 1
+    available = True
+    worker_deaths = 0
 
-        Injected faults are retried up to ``max_retries`` times and then
-        bypassed entirely on the trusted replay rung; a genuine task bug
-        raises again there and propagates (after the stats are logged by
-        the caller's ``finally``).
-        """
-        t0 = time.perf_counter()
+    def __init__(self, runner: BatchRunner, tasks: Sequence):
+        self.runner = runner
+        self.tasks = tasks
+
+    def submit(self, ti, start, stop, attempt):
+        return ti, start, stop, attempt
+
+    def result(self, handle):
+        ti, start, stop, attempt = handle
+        runner = self.runner
         before = instrumentation_snapshot()
-        policy = self.retry
-        for attempt in range(policy.max_retries + 1):
-            try:
-                part = run_task_chunk(
-                    task, ti, start, stop, attempt, self.fault,
-                    in_worker=False, cache=self.cache,
-                    backend=self.exec_backend,
-                )
-                outcome = "ok" if attempt == 0 else "retried"
-                log.chunk(
-                    ti, start, stop, attempt + 1, outcome, "serial",
-                    time.perf_counter() - t0,
-                    inst=instrumentation_delta(before),
-                )
-                return part
-            except BackendError:
-                # A forced-``vectorized`` task with no kernel is a
-                # configuration error, not a transient failure: retrying
-                # (or degrading to the reference replay rung) would
-                # silently void the caller's backend assertion.
-                raise
-            except Exception:
-                log.failed_attempts += 1
-                if attempt < policy.max_retries:
-                    log.retries += 1
-                    time.sleep(policy.backoff_for(attempt + 1))
-        # Retries exhausted: trusted replay, fault injection disabled
-        # (and cache bypassed — the replay rung must recompute).
-        part = task.run_chunk(start, stop)
-        log.chunk(
-            ti, start, stop, policy.max_retries + 2, "replayed", "serial",
-            time.perf_counter() - t0,
-            inst=instrumentation_delta(before),
+        part = run_task_chunk(
+            self.tasks[ti], ti, start, stop, attempt, runner.fault,
+            in_worker=False, cache=runner.cache, backend=runner.exec_backend,
         )
-        return part
+        return part, instrumentation_delta(before), ""
+
+    def cancel(self, handle) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 class SerialRunner(BatchRunner):
     """In-process execution; chunked only to honour early-stop cadence."""
 
     backend = "serial"
-    jobs = 1
-
-    def _spans_for(self, task, early_stop) -> List[tuple]:
-        if (
-            early_stop is None
-            and self.cache is None
-            and self.journal is None
-            and self.chunk_size is None
-            and self.schedule == "uniform"
-        ):
-            # Single sweep: identical result, no merge overhead.  (A
-            # cache forces planned chunks so serial and pool batches
-            # store/fetch identical chunk spans; a journal does too —
-            # resume must find the exact spans the interrupted run
-            # recorded, whichever venue wrote them; an explicit
-            # chunk_size likewise, so the venues account interrupts over
-            # the same span set; cost scheduling likewise — its plan is
-            # the contract the parallel venues share.)
-            return [(0, task.n_runs)]
-        return self._plan(task)
-
-    def run(self, tasks: Sequence, early_stop: Optional[EarlyStopRule] = None) -> List:
-        tasks = list(tasks)
-        t0 = time.perf_counter()
-        log = BatchLog(observer=self.chunk_observer)
-        log.task_weights = self._batch_weights(tasks)
-        values: List = []
-        stopped_any = False
-        interrupted: Optional[BaseException] = None
-        requested = sum(t.n_runs for t in tasks)
-        handled: set = set()
-        try:
-            for ti, task in enumerate(tasks):
-                value = None
-                stopped = False
-                for start, stop in self._spans_for(task, early_stop):
-                    if stopped:
-                        # Mirror the pool venue: spans dropped by early
-                        # stopping are accounted as cancelled.
-                        log.chunk(ti, start, stop, 0, "cancelled", "serial", 0.0)
-                        handled.add((ti, start, stop))
-                        continue
-                    hit, part = self._journal_fetch(task, ti, start, stop, log)
-                    if hit:
-                        log.chunk(ti, start, stop, 0, "journaled", "serial", 0.0)
-                    else:
-                        part = self._serial_chunk(task, ti, start, stop, log)
-                        self._journal_record(task, ti, start, stop, part, log)
-                    handled.add((ti, start, stop))
-                    value = part if value is None else merge_partials(value, part)
-                    if early_stop is not None and early_stop.should_stop(value):
-                        stopped = stopped_any = True
-                values.append(value)
-        except KeyboardInterrupt as exc:
-            interrupted = exc
-            raise
-        finally:
-            if interrupted is not None:
-                # Ctrl-C: account every planned-but-unprocessed span as
-                # cancelled — the same accounting the pool venue gives
-                # its outstanding futures — so partial RunStats never
-                # overstate serial coverage.
-                for ti, task in enumerate(tasks):
-                    for start, stop in self._spans_for(task, early_stop):
-                        if (ti, start, stop) not in handled:
-                            log.chunk(
-                                ti, start, stop, 0, "cancelled", "serial", 0.0
-                            )
-            self._record(len(tasks), requested, t0, stopped_any, log)
-            if interrupted is not None:
-                # The re-raised interrupt carries the partial accounting
-                # of everything that did complete.
-                interrupted.run_stats = self.last_stats
-        return values
 
 
 # -- process-pool worker side ------------------------------------------------
@@ -578,315 +547,119 @@ def _worker_run_chunk(
     return part, instrumentation_delta(before)
 
 
-class ProcessPoolRunner(BatchRunner):
-    """Chunked fan-out over a forked process pool.
+def _dispose_pool(pool) -> None:
+    """Discard an executor whose results are no longer wanted.
 
-    All chunks of all tasks are submitted together (a strategy sweep
-    parallelises across strategies *and* within each strategy's run
-    range).  Falls back to :class:`SerialRunner` when the batch is tiny,
-    only one worker is available, or the platform cannot fork.
+    ``shutdown(wait=False)`` alone is not enough for a pool that still
+    has a *running* chunk (a wedged straggler in a retired executor, or
+    abandoned work after an early stop/interrupt): the executor's
+    manager thread keeps waiting for that result, and at interpreter
+    exit ``concurrent.futures``' atexit hook joins the manager thread —
+    deadlocking shutdown.
 
-    Failure handling per chunk, in order: bounded in-pool retries with
-    backoff (fresh future, incremented attempt number), then — on retry
-    exhaustion, a broken pool, or a pool that refuses submissions —
-    trusted in-process serial replay with fault injection disabled.  The
-    replay is sound because ``run_chunk(start, stop)`` is a pure function
-    of ``(task, seed, span)``.
+    Disposal is therefore two-phase.  First a short graceful window: an
+    idle pool's manager exits in milliseconds, and even a stuck one
+    processes the shutdown flag — dropping cancelled work items, so the
+    forced path below cannot race it into ``set_exception`` on an
+    already-cancelled future.  If the manager is still alive after the
+    grace period, the worker processes are killed — a wakeup the
+    manager thread is guaranteed to see (it waits on the process
+    sentinels and joins workers on exit) — and the manager reaped with a
+    bounded join.  Results were already consumed or abandoned by the
+    caller, and chunk-cache writes are atomic (write-to-temp + rename),
+    so the kill cannot lose or corrupt state.
+    """
+    # Snapshot the worker list *before* shutdown: the manager thread may
+    # clear its process table while tearing down, and a worker that
+    # never receives its shutdown sentinel must still be killed.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
+    pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        manager.join(timeout=0.25)
+        if not manager.is_alive():
+            return
+    for proc in processes:
+        try:
+            proc.kill()
+        except Exception:
+            pass
+    if manager is not None:
+        manager.join(timeout=5.0)
+
+
+class PoolExecutor:
+    """Chunks as futures of a forked process pool.
+
+    A broken pool (a worker died) or one that refuses submissions makes
+    the venue unavailable; a chunk running past its deadline, which
+    ``cancel()`` cannot free, gets the executor respawned.
     """
 
-    backend = "process-pool"
+    venue = "process-pool"
+    label = "pool"
+    worker_deaths = 0
 
-    def __init__(
-        self,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-        min_parallel_runs: int = SMALL_BATCH_THRESHOLD,
-        retry: Optional[RetryPolicy] = None,
-        fault: Optional[FaultSpec] = None,
-        cache: Optional[ChunkCache] = None,
-        backend: Optional[str] = None,
-        journal: Optional[RunJournal] = None,
-        schedule: Optional[str] = None,
-    ):
-        super().__init__(
-            chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
-            backend=backend, journal=journal, schedule=schedule,
-        )
-        if jobs < 1:
-            raise ValueError("ProcessPoolRunner needs at least one worker")
-        self.jobs = jobs
-        self.min_parallel_runs = min_parallel_runs
-
-    def run(self, tasks: Sequence, early_stop: Optional[EarlyStopRule] = None) -> List:
-        tasks = list(tasks)
-        requested = sum(t.n_runs for t in tasks)
-        if (
-            self.jobs <= 1
-            or requested < self.min_parallel_runs
-            or not _fork_available()
-        ):
-            serial = SerialRunner(
-                chunk_size=self.chunk_size, retry=self.retry,
-                fault=self.fault, cache=self.cache,
-                backend=self.exec_backend, journal=self.journal,
-                schedule=self.schedule,
-            )
-            serial.chunk_observer = self.chunk_observer
-            try:
-                return serial.run(tasks, early_stop=early_stop)
-            finally:
-                if serial.last_stats is not None:
-                    self.last_stats = serial.last_stats
-                    self.stats_history.append(serial.last_stats)
-
-        t0 = time.perf_counter()
-        plans = [self._plan(task) for task in tasks]
-        values: List = [None] * len(tasks)
-        log = BatchLog(observer=self.chunk_observer)
-        log.task_weights = self._batch_weights(tasks)
-        stopped_any = False
-        interrupted: Optional[BaseException] = None
-        self._pool_broken = False
-        ctx = multiprocessing.get_context("fork")
+    def __init__(self, runner: "ProcessPoolRunner", tasks: Sequence):
+        self.jobs = runner.jobs
+        self.fault = runner.fault
+        self.timeout = runner.retry.chunk_timeout_s
+        self.available = True
         self._pool_args = dict(
-            max_workers=self.jobs,
-            mp_context=ctx,
+            max_workers=runner.jobs,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init,
-            initargs=(tasks, self.cache, self.exec_backend),
+            initargs=(tasks, runner.cache, runner.exec_backend),
         )
-        pool = self._pool = ProcessPoolExecutor(**self._pool_args)
-        self._retired_pools: List[ProcessPoolExecutor] = []
+        self._pool = ProcessPoolExecutor(**self._pool_args)
+        self._retired: List[ProcessPoolExecutor] = []
         self._last_progress = time.monotonic()
-        submitted: List[List[tuple]] = []
-        handled: set = set()
-        try:
-            # Journaled spans are resolved parent-side before anything is
-            # submitted: a resumed span never occupies a pool slot, and
-            # every remaining span enters the pool exactly as before.
-            journaled: dict = {}
-            if self.journal is not None:
-                for ti, plan in enumerate(plans):
-                    for start, stop in plan:
-                        hit, part = self._journal_fetch(
-                            tasks[ti], ti, start, stop, log
-                        )
-                        if hit:
-                            journaled[(ti, start, stop)] = part
-            # Submission order: plan order under the uniform schedule;
-            # predicted-cost-descending (LPT) under the cost schedule, so
-            # the most expensive chunks claim workers first and cheap
-            # chunks backfill the stragglers' tail.  Consumption — and
-            # therefore merging, early stopping, and every result — stays
-            # in plan order regardless: dispatch order is pure wall-clock
-            # policy, invisible to the fold.
-            order = [
-                (ti, span)
-                for ti, plan in enumerate(plans)
-                for span in plan
-                if (ti, span[0], span[1]) not in journaled
-            ]
-            if self.schedule == "cost":
-                weights = log.task_weights
-                order.sort(
-                    key=lambda item: (
-                        -weights.get(item[0], 0.0)
-                        * (item[1][1] - item[1][0]),
-                        item[0],
-                        item[1][0],
-                    )
-                )
-            futures = {
-                (ti, span[0], span[1]): pool.submit(
-                    _worker_run_chunk, ti, span[0], span[1], 0, self.fault
-                )
-                for ti, span in order
-            }
-            submitted = [
-                [
-                    (span, futures.get((ti, span[0], span[1])))
-                    for span in plan
-                ]
-                for ti, plan in enumerate(plans)
-            ]
-            for ti, chunk_futures in enumerate(submitted):
-                value = None
-                stopped = False
-                for (start, stop), future in chunk_futures:
-                    if stopped:
-                        if future is not None:
-                            future.cancel()
-                        log.chunk(ti, start, stop, 0, "cancelled", "pool", 0.0)
-                        handled.add((ti, start, stop))
-                        continue
-                    if future is None:
-                        # Replayed from the ledger; logged at consumption
-                        # time so early-stop/interrupt accounting matches
-                        # the serial venue span for span.
-                        part = journaled[(ti, start, stop)]
-                        log.chunk(ti, start, stop, 0, "journaled", "pool", 0.0)
-                    else:
-                        part = self._chunk_result(
-                            tasks[ti], ti, start, stop, future, log
-                        )
-                        self._journal_record(tasks[ti], ti, start, stop, part, log)
-                    handled.add((ti, start, stop))
-                    value = part if value is None else merge_partials(value, part)
-                    if early_stop is not None and early_stop.should_stop(value):
-                        stopped = stopped_any = True
-                values[ti] = value
-        except KeyboardInterrupt as exc:
-            # Ctrl-C: fall through to the finally, which cancels every
-            # outstanding future and shuts the pool down (no leaked
-            # workers), then re-raise with the partial RunStats attached.
-            interrupted = exc
-            raise
-        finally:
-            # Satellite of the retry tentpole: a failing chunk must not
-            # orphan sibling futures or leave last_stats unset.
-            for ti, chunk_futures in enumerate(submitted):
-                for (start, stop), future in chunk_futures:
-                    if future is not None:
-                        future.cancel()
-                    if (
-                        interrupted is not None
-                        and (ti, start, stop) not in handled
-                    ):
-                        # Outstanding work the interrupt dropped on the
-                        # floor — account for it so the partial stats are
-                        # honest about missing coverage.
-                        log.chunk(
-                            ti, start, stop, 0, "cancelled", "pool", 0.0
-                        )
-            # Shut down the live pool and every executor retired by a
-            # wedged-chunk respawn.
-            for retired in (*self._retired_pools, self._pool):
-                self._dispose_pool(retired)
-            self._record(len(tasks), requested, t0, stopped_any, log)
-            if interrupted is not None:
-                interrupted.run_stats = self.last_stats
-        return values
 
-    # -- per-chunk recovery --------------------------------------------------
-
-    def _chunk_result(self, task, ti, start, stop, future, log: BatchLog):
-        """Resolve one chunk through the degradation ladder."""
-        policy = self.retry
-        t0 = time.perf_counter()
-        attempt = 0
-        while True:
+    def submit(self, ti, start, stop, attempt):
+        """The chunk's future, or ``None`` once the pool is broken."""
+        if self.available:
             try:
-                part, inst = self._await(future)
-                self._last_progress = time.monotonic()
-                log.chunk(
-                    ti, start, stop, attempt + 1,
-                    "ok" if attempt == 0 else "retried", "pool",
-                    time.perf_counter() - t0,
-                    inst=inst,
-                )
-                return part
-            except BackendError:
-                # Propagate backend assertions (see _serial_chunk).
-                raise
-            except ChunkTimeout as exc:
-                log.failed_attempts += 1
-                log.timeouts += 1
-                if getattr(exc, "wedged", False):
-                    # The chunk is *running* past its deadline, and
-                    # cancel() cannot free a running future: without
-                    # intervention the slot stays occupied and the
-                    # retry queues behind the very chunk it replaces.
-                    # Retire the executor and respawn a fresh one.
-                    self._respawn_pool()
-            except FuturesCancelled:
-                # A sibling future cancelled by a pool respawn (it is a
-                # BaseException since 3.8, so the clause below does not
-                # see it): an ordinary failed attempt.
-                log.failed_attempts += 1
-            except BrokenProcessPool:
-                log.failed_attempts += 1
-                self._pool_broken = True
-            except Exception:
-                log.failed_attempts += 1
-            attempt += 1
-            if self._pool_broken or attempt > policy.max_retries:
-                break
-            log.retries += 1
-            time.sleep(policy.backoff_for(attempt))
-            try:
-                future = self._pool.submit(
+                return self._pool.submit(
                     _worker_run_chunk, ti, start, stop, attempt, self.fault
                 )
             except RuntimeError:  # pool broken or already shutting down
-                self._pool_broken = True
-                break
-        # Final rung: trusted in-process replay, fault injection disabled
-        # and the chunk cache bypassed.  A genuine task bug raises here
-        # and propagates (stats are still recorded by run()'s finally).
-        before = instrumentation_snapshot()
-        part = task.run_chunk(start, stop)
-        log.chunk(
-            ti, start, stop, attempt + 1, "replayed", "serial",
-            time.perf_counter() - t0,
-            inst=instrumentation_delta(before),
-        )
-        return part
+                self.available = False
+        return None
 
-    @staticmethod
-    def _dispose_pool(pool) -> None:
-        """Discard an executor whose results are no longer wanted.
+    def result(self, future):
+        try:
+            part, inst = self._await(future)
+        except BrokenProcessPool:
+            self.available = False
+            raise
+        except ChunkTimeout as exc:
+            if exc.wedged:
+                self._respawn()
+            raise
+        self._last_progress = time.monotonic()
+        return part, inst, ""
 
-        ``shutdown(wait=False)`` alone is not enough for a pool that
-        still has a *running* chunk (a wedged straggler in a retired
-        executor, or abandoned work after an early stop/interrupt): the
-        executor's manager thread keeps waiting for that result, and at
-        interpreter exit ``concurrent.futures``' atexit hook joins the
-        manager thread — deadlocking shutdown.
+    def cancel(self, future) -> None:
+        future.cancel()
 
-        Disposal is therefore two-phase.  First a short graceful
-        window: an idle pool's manager exits in milliseconds, and even
-        a stuck one processes the shutdown flag — dropping cancelled
-        work items, so the forced path below cannot race it into
-        ``set_exception`` on an already-cancelled future.  If the
-        manager is still alive after the grace period, the worker
-        processes are killed — a wakeup the manager thread is
-        guaranteed to see (it waits on the process sentinels and joins
-        workers on exit) — and the manager reaped with a bounded join.
-        Results were already consumed or abandoned by the caller, and
-        chunk-cache writes are atomic (write-to-temp + rename), so the
-        kill cannot lose or corrupt state.
-        """
-        # Snapshot the worker list *before* shutdown: the manager thread
-        # may clear its process table while tearing down, and a worker
-        # that never receives its shutdown sentinel must still be killed.
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        manager = getattr(pool, "_executor_manager_thread", None)
-        pool.shutdown(wait=False, cancel_futures=True)
-        if manager is not None:
-            manager.join(timeout=0.25)
-            if not manager.is_alive():
-                return
-        for proc in processes:
-            try:
-                proc.kill()
-            except Exception:
-                pass
-        if manager is not None:
-            manager.join(timeout=5.0)
+    def close(self) -> None:
+        # The live pool and every executor retired by a respawn.
+        for pool in (*self._retired, self._pool):
+            _dispose_pool(pool)
 
-    def _respawn_pool(self) -> None:
+    def _respawn(self) -> None:
         """Replace the executor after a running chunk wedged its slot.
 
         ``Future.cancel()`` is a no-op once a worker has started the
         chunk, so a wedged (e.g. sleep-faulted) execution permanently
         occupies a slot in the old pool.  A fresh executor restores full
         capacity immediately; the old one is retired without waiting —
-        its queued futures are cancelled (surfacing as
-        ``CancelledError`` failed attempts that resubmit here), its
-        running ones finish in orphaned processes and are consumed
-        normally.
+        its queued futures are cancelled (surfacing as ``CancelledError``
+        failed attempts that resubmit here), its running ones finish in
+        orphaned processes and are consumed normally.
         """
         retired = self._pool
-        self._retired_pools.append(retired)
+        self._retired.append(retired)
         self._pool = ProcessPoolExecutor(**self._pool_args)
         retired.shutdown(wait=False, cancel_futures=True)
 
@@ -903,15 +676,14 @@ class ProcessPoolRunner(BatchRunner):
         :class:`ChunkTimeout` as ``wedged``: cancellation cannot reclaim
         that slot, so the caller respawns the executor.
         """
-        timeout = self.retry.chunk_timeout_s
+        timeout = self.timeout
         if timeout is None:
             # No per-chunk deadline — but never trust a *pending* future
             # unconditionally: a starved pool (see _STARVATION_GRACE_S)
             # would block this wait forever.  A future that is running is
-            # waited on indefinitely, exactly as before; a future that
-            # has not started while the whole batch made no progress for
-            # the grace period marks the pool wedged so the caller
-            # respawns it.
+            # waited on indefinitely; a future that has not started while
+            # the whole batch made no progress for the grace period marks
+            # the pool wedged so it is respawned.
             while True:
                 try:
                     return future.result(timeout=_STARVATION_POLL_S)
@@ -947,3 +719,44 @@ class ProcessPoolRunner(BatchRunner):
                     )
                     exc.wedged = wedged
                     raise exc from None
+
+
+class ProcessPoolRunner(BatchRunner):
+    """Chunked fan-out over a forked process pool.
+
+    All chunks of all tasks are submitted together (a strategy sweep
+    parallelises across strategies *and* within each strategy's run
+    range).  Runs serially when the batch is tiny, only one worker is
+    available, or the platform cannot fork.
+    """
+
+    backend = "process-pool"
+
+    def __init__(
+        self,
+        jobs: int,
+        chunk_size: Optional[int] = None,
+        min_parallel_runs: int = SMALL_BATCH_THRESHOLD,
+        retry: Optional[RetryPolicy] = None,
+        fault: Optional[FaultSpec] = None,
+        cache: Optional[ChunkCache] = None,
+        backend: Optional[str] = None,
+        journal: Optional[RunJournal] = None,
+    ):
+        super().__init__(
+            chunk_size=chunk_size, retry=retry, fault=fault, cache=cache,
+            backend=backend, journal=journal,
+        )
+        if jobs < 1:
+            raise ValueError("ProcessPoolRunner needs at least one worker")
+        self.jobs = jobs
+        self.min_parallel_runs = min_parallel_runs
+
+    def _executor(self, tasks: Sequence):
+        if (
+            self.jobs <= 1
+            or sum(t.n_runs for t in tasks) < self.min_parallel_runs
+            or not _fork_available()
+        ):
+            return SerialExecutor(self, tasks)
+        return PoolExecutor(self, tasks)

@@ -22,8 +22,10 @@ reports the same address over the API.
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional
 
@@ -35,9 +37,15 @@ from .ratelimit import TokenBucket
 #: Longest ``job.result`` long-poll the server will honour, seconds.
 MAX_RESULT_WAIT_S = 300.0
 
+#: How long ``server_close`` waits for handler threads to finish.
+_HANDLER_JOIN_S = 10.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle on, the second one
+    # waits for the client's delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
     # Quiet by default: per-request access logging belongs to the host's
     # reverse proxy, not a research service's stdout (which carries the
     # announce line).
@@ -89,6 +97,42 @@ class _Httpd(ThreadingHTTPServer):
     allow_reuse_address = True
     service: "ServiceServer"
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._live_lock = threading.Lock()
+        self._live: Dict[socket.socket, threading.Thread] = {}
+
+    def process_request_thread(self, request, client_address):
+        with self._live_lock:
+            self._live[request] = threading.current_thread()
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._live_lock:
+                self._live.pop(request, None)
+
+    def server_close(self) -> None:
+        """Close the listener, then join the handler threads.
+
+        Handler threads are daemons, so without the join a process that
+        exits right after shutdown kills a handler before it writes its
+        response.  Each connection is shut for reading first: a handler
+        idling on keep-alive sees EOF and exits, one mid-request still
+        writes its response.
+        """
+        super().server_close()
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _thread in live:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        deadline = time.monotonic() + _HANDLER_JOIN_S
+        for _request, thread in live:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+
 
 class ServiceServer:
     """One fairness service: transport + limiter + job pool."""
@@ -117,6 +161,7 @@ class ServiceServer:
         self._httpd: Optional[_Httpd] = None
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
+        self._stopped = threading.Event()
         self._serving = threading.Event()
         #: Extension point: extra methods callable over the wire, each a
         #: ``fn(runner, params) -> artifact dict`` run through the job
@@ -158,19 +203,26 @@ class ServiceServer:
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting, close the pool (draining by default), close
-        the socket.  Idempotent; safe from any thread."""
+        the socket and join the handler threads.  Idempotent and safe
+        from any thread; a call made while another is in flight returns
+        only once that one has finished."""
         with self._shutdown_lock:
-            if self._shut_down:
-                return
+            first = not self._shut_down
             self._shut_down = True
-        # socketserver's shutdown() blocks on an event only the serve
-        # loop sets; calling it on a bound-but-never-served instance
-        # would hang forever, so skip straight to closing the socket.
-        if self._httpd is not None and self._serving.is_set():
-            self._httpd.shutdown()
-        self.pool.close(drain=drain)
-        if self._httpd is not None:
-            self._httpd.server_close()
+        if not first:
+            self._stopped.wait()
+            return
+        try:
+            # socketserver's shutdown() blocks on an event only the serve
+            # loop sets; calling it on a bound-but-never-served instance
+            # would hang forever, so skip straight to closing the socket.
+            if self._httpd is not None and self._serving.is_set():
+                self._httpd.shutdown()
+            self.pool.close(drain=drain)
+            if self._httpd is not None:
+                self._httpd.server_close()
+        finally:
+            self._stopped.set()
 
     def register_method(self, name: str, fn: Callable) -> None:
         if name in canonical.METHOD_SCHEMAS or name.startswith(("job.", "service.")):

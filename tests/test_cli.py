@@ -330,6 +330,29 @@ class TestStatsDumpSchema:
                 assert stats["executions"] == stats["requested"]
 
 
+class TestGlobalFlagPosition:
+    """Every global flag is accepted before or after the subcommand."""
+
+    def test_global_flags_before_subcommand(self, capsys):
+        args = build_parser().parse_args(
+            ["--runs", "20", "--seed", "s", "--parties", "3",
+             "profile", "opt-nsfe"]
+        )
+        # An absent flag after the subcommand keeps the earlier value.
+        assert (args.runs, args.seed, args.parties) == (20, "s", 3)
+        out = run_cli(capsys, "--runs", "20", "profile", "pi1")
+        assert "x 20 runs" in out
+
+    def test_global_flags_after_subcommand(self, capsys):
+        args = build_parser().parse_args(
+            ["profile", "opt-nsfe", "--runs", "20", "--seed", "s",
+             "--parties", "3"]
+        )
+        assert (args.runs, args.seed, args.parties) == (20, "s", 3)
+        out = run_cli(capsys, "profile", "pi1", "--runs", "20")
+        assert "x 20 runs" in out
+
+
 class TestProfileCommand:
     def test_profile_output_structure(self, capsys):
         out = run_cli(capsys, "--runs", "20", "profile", "pi1")

@@ -530,6 +530,10 @@ class TestEndToEnd:
         assert serial == distributed
         assert serial.total == distributed.total < 300
         assert distributed.run_stats.stopped_early
-        # (No cancelled_chunks assertion: fast workers may legitimately
-        # resolve every span before the fold reaches the stop index —
-        # out-of-order resolution changes accounting, never the value.)
+        # Spans are consumed in plan order on every venue, so the spans
+        # after the stop index are cancelled whether or not a fast
+        # worker already finished them.
+        assert (
+            distributed.run_stats.cancelled_chunks
+            == serial.run_stats.cancelled_chunks
+        )

@@ -216,6 +216,32 @@ class TestLifecycle:
                 assert reply["error"]["code"] == -32001, method
 
 
+class TestKeepAlive:
+    def test_keep_alive_round_trips_do_not_stall(self):
+        """Headers and body go out in two sends; with Nagle's algorithm
+        on, each keep-alive request after the first waited ~40 ms for
+        the client's delayed ACK."""
+        body = json.dumps(
+            {"jsonrpc": "2.0", "id": 1, "method": "service.info"}
+        )
+        headers = {"Content-Type": "application/json"}
+        with _server() as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+            try:
+                times = []
+                for _ in range(21):
+                    t0 = time.perf_counter()
+                    conn.request("POST", "/", body, headers)
+                    resp = conn.getresponse()
+                    assert resp.status == 200
+                    resp.read()
+                    times.append(time.perf_counter() - t0)
+            finally:
+                conn.close()
+        times = sorted(times[1:])  # the first request opens the connection
+        assert times[len(times) // 2] < 0.020, times
+
+
 class TestDedupe:
     def test_concurrent_identical_requests_execute_once(self):
         n_clients = 4
@@ -517,6 +543,21 @@ class TestShutdown:
         assert _leak_failure(threads_before) is None
 
 
+#: ``repro serve`` with the ``service.shutdown`` response write delayed.
+_SLOW_SHUTDOWN_REPLY = """
+import sys, time
+from repro.service import server
+reply = server._Handler._reply
+def slow_reply(self, status, body):
+    if "stopping" in (body.get("result") or {}):
+        time.sleep(0.5)
+    reply(self, status, body)
+server._Handler._reply = slow_reply
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestServeCli:
     def _env(self):
         src = str(Path(repro.__file__).resolve().parents[1])
@@ -553,6 +594,31 @@ class TestServeCli:
             assert result["artifact"]["n_runs"] == REQUEST["runs"]
 
             _rpc(port, "service.shutdown", {"drain": True})
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+    def test_shutdown_reply_survives_process_exit(self):
+        """Regression: ``cmd_serve``'s own ``shutdown()`` returned at once
+        while the RPC-triggered one was still in flight, so the process
+        exited and killed the daemon handler thread before it wrote the
+        ``service.shutdown`` response.  Delaying that write makes the
+        race lose every time unless shutdown waits for the handlers."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_SHUTDOWN_REPLY,
+             "serve", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=self._env(),
+            text=True,
+        )
+        try:
+            port = json.loads(proc.stdout.readline())["port"]
+            reply = _rpc(port, "service.shutdown", {"drain": True})
+            assert reply["result"] == {"stopping": True, "drain": True}
             assert proc.wait(timeout=30) == 0
         finally:
             if proc.poll() is None:

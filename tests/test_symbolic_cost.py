@@ -1,23 +1,16 @@
-"""Symbolic cost models and the cost-aware scheduler.
+"""Symbolic cost models, the E21 claims and the chunk-size knobs.
 
-Covers the three layers of the cost subsystem: the closed forms in
-``analysis/symbolic_cost.py`` (predictions must match ``measure_cost``
-exactly, with and without sympy), the E21 claim family that pins that
-agreement, and the ``schedule="cost"`` runtime mode (bit-identical
-results, deterministic venue-invariant plans, LPT dispatch,
-observability fields, env knobs).
+Covers the closed forms in ``analysis/symbolic_cost.py`` (predictions
+must match ``measure_cost`` exactly, with and without sympy), the E21
+claim family that pins that agreement, and the ``REPRO_CHUNK_SIZE``
+knob.
 """
 
 import os
 
 import pytest
 
-from repro.adversaries import PassiveAdversary, fixed
 from repro.analysis.complexity import measure_cost
-from repro.analysis.export import (
-    chunk_stats_to_dict,
-    run_stats_to_dict,
-)
 from repro.analysis.symbolic_cost import (
     HAVE_SYMPY,
     SYMBOLS,
@@ -41,18 +34,9 @@ from repro.protocols import (
 from repro.protocols.gradual_release import RELEASE_BITS, GradualReleaseProtocol
 from repro.runtime import (
     ENV_CHUNK_SIZE,
-    ENV_SCHEDULE,
-    ExecutionTask,
-    ProcessPoolRunner,
     SerialRunner,
     resolve_chunk_size,
-    resolve_schedule,
 )
-from repro.runtime.distributed import DistributedRunner
-
-
-def _passive():
-    return fixed("passive", lambda: PassiveAdversary())
 
 
 def _zoo():
@@ -160,22 +144,6 @@ class TestSymbolicModels:
 
 
 class TestScheduleKnobs:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "cost")
-        assert resolve_schedule("uniform") == "uniform"
-        assert resolve_schedule() == "cost"
-        monkeypatch.delenv(ENV_SCHEDULE)
-        assert resolve_schedule() == "uniform"
-
-    def test_env_schedule_validation_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "fastest")
-        with pytest.raises(ValueError, match="REPRO_SCHEDULE"):
-            resolve_schedule()
-
-    def test_explicit_schedule_validation(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            resolve_schedule("fastest")
-
     def test_chunk_size_env_mirrors_flag(self, monkeypatch):
         monkeypatch.setenv(ENV_CHUNK_SIZE, "25")
         assert resolve_chunk_size() == 25
@@ -196,125 +164,9 @@ class TestScheduleKnobs:
             resolve_chunk_size(0)
 
     def test_runner_reads_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(ENV_SCHEDULE, "cost")
         monkeypatch.setenv(ENV_CHUNK_SIZE, "17")
         runner = SerialRunner()
-        assert runner.schedule == "cost"
         assert runner.chunk_size == 17
-
-
-# -- the cost schedule at runtime -------------------------------------------
-
-
-def _hetero_tasks(n_runs=120):
-    """A deliberately heterogeneous batch: ~35x per-run cost spread."""
-    return [
-        ExecutionTask(
-            GordonKatzProtocol(make_and(), p=2), _passive(), n_runs,
-            seed=("sched", 0),
-        ),
-        ExecutionTask(
-            SingleRoundProtocol(make_and()), _passive(), n_runs,
-            seed=("sched", 1),
-        ),
-        ExecutionTask(
-            Opt2SfeProtocol(make_swap(16)), _passive(), n_runs,
-            seed=("sched", 2),
-        ),
-    ]
-
-
-class TestCostSchedule:
-    def test_results_identical_across_schedules(self):
-        uniform = SerialRunner(schedule="uniform").run(_hetero_tasks())
-        cost = SerialRunner(schedule="cost").run(_hetero_tasks())
-        assert uniform == cost
-
-    def test_plans_deterministic_and_venue_invariant(self):
-        # The plan is a pure function of (task, cost model, knobs): the
-        # serial, pool, and distributed venues must derive byte-identical
-        # span sets, or journal fingerprints could not replay across them.
-        task = _hetero_tasks()[0]
-        serial = SerialRunner(schedule="cost")
-        pool = ProcessPoolRunner(2, min_parallel_runs=0, schedule="cost")
-        dist = DistributedRunner(["127.0.0.1:9"], schedule="cost")
-        plans = {tuple(r._plan(task)) for r in (serial, pool, dist)}
-        assert len(plans) == 1
-        assert serial._plan(task) == serial._plan(task)
-
-    def test_expensive_tasks_get_smaller_chunks(self):
-        runner = SerialRunner(schedule="cost")
-        tasks = _hetero_tasks()
-        gk_plan = runner._plan(tasks[0])
-        single_plan = runner._plan(tasks[1])
-        assert len(gk_plan) > len(single_plan)
-
-    def test_pool_cost_schedule_matches_serial(self):
-        tasks = _hetero_tasks()
-        serial = SerialRunner(schedule="cost")
-        expected = serial.run(_hetero_tasks())
-        pool = ProcessPoolRunner(2, min_parallel_runs=0, schedule="cost")
-        got = pool.run(tasks)
-        assert got == expected
-        if pool.last_stats.backend == "process-pool":
-            # LPT dispatch must not change the consumed span set.
-            assert sorted(pool.last_stats.chunk_spans) == sorted(
-                serial.last_stats.chunk_spans
-            )
-
-    def test_observability_fields(self):
-        runner = SerialRunner(schedule="cost")
-        runner.run(_hetero_tasks(n_runs=40))
-        stats = runner.last_stats
-        assert stats.schedule == "cost"
-        assert all(c.predicted_cost > 0 for c in stats.chunks)
-        exported = run_stats_to_dict(stats)
-        assert exported["schedule"] == "cost"
-        assert "predicted_cost" in chunk_stats_to_dict(stats.chunks[0])
-        # GK chunks predict heavier than single-round chunks per run.
-        by_task = {}
-        for c in stats.chunks:
-            by_task.setdefault(c.task_index, c.predicted_cost / c.n_runs)
-        assert by_task[0] > by_task[1]
-
-    def test_uniform_runs_still_report_predicted_cost(self):
-        runner = SerialRunner(schedule="uniform", chunk_size=16)
-        runner.run(_hetero_tasks(n_runs=40))
-        stats = runner.last_stats
-        assert stats.schedule == "uniform"
-        assert any(c.predicted_cost > 0 for c in stats.chunks)
-
-    def test_unmodelled_tasks_keep_uniform_plan(self):
-        task = ExecutionTask(
-            DummyProtocol(make_swap(8)), _passive(), 100, seed=("sched", 9)
-        )
-        cost = SerialRunner(schedule="cost")
-        uniform = SerialRunner(schedule="uniform", chunk_size=None)
-        assert cost._plan(task) == uniform._plan(task)
-        cost.run([task])
-        assert all(
-            c.predicted_cost == 0.0 for c in cost.last_stats.chunks
-        )
-
-    def test_cost_resume_replays_across_venues(self, tmp_path):
-        # Journal written under the cost schedule by the serial venue,
-        # resumed by the pool venue: every span must replay, proving the
-        # cost plan (and its fingerprints) is venue-invariant.
-        from repro.runtime import RunJournal
-
-        first = SerialRunner(
-            schedule="cost", journal=RunJournal(tmp_path)
-        )
-        expected = first.run(_hetero_tasks())
-        resumed = ProcessPoolRunner(
-            2, min_parallel_runs=0, schedule="cost",
-            journal=RunJournal(tmp_path, resume=True),
-        )
-        got = resumed.run(_hetero_tasks())
-        assert got == expected
-        stats = resumed.last_stats
-        assert stats.journal_replayed_chunks == first.last_stats.n_chunks
-        assert all(c.engine == "journal" for c in stats.chunks)
 
 
 # -- E21 claims --------------------------------------------------------------
